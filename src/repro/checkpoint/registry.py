@@ -259,6 +259,12 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         # counts so restore-then-trace divergence is still diffable.
         "transient": {"_spans", "_stacks"},
     },
+    "repro.metrics.histogram.Histogram": {
+        # The registry shape: count, mean (total / count) and bin edges.
+        # The width is fixed by the owner and implied by the edges.
+        "covered": {"count", "total", "_bins"},
+        "transient": {"bin_width"},
+    },
     "repro.telemetry.registry.MetricRegistry": {
         "covered": {"_instruments"},
         "transient": set(),
@@ -292,10 +298,6 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     },
     "repro.serving.admission.AdmissionController": {
         "covered": {"capacity_rps", "headroom", "burst_s", "buckets"},
-        "transient": set(),
-    },
-    "repro.serving.stats.LatencyDigest": {
-        "covered": {"bin_ms", "count", "total_ms", "max_ms", "counts"},
         "transient": set(),
     },
     "repro.serving.stats.ServingStats": {

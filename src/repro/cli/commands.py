@@ -290,10 +290,11 @@ def telemetry(state: CommandState, args: Sequence[str]) -> str:
     lines.append("METRICS")
     for instrument in hub.registry.instruments():
         if instrument.kind == "histogram":
+            histogram = instrument.histogram
             lines.append(
-                f"  {instrument.full_name}: n={instrument.count}"
-                f" mean={instrument.mean():.2f}ms"
-                f" p95={instrument.percentile(95):.2f}ms"
+                f"  {instrument.full_name}: n={histogram.count}"
+                f" mean={histogram.mean():.2f}ms"
+                f" p95={histogram.percentile(95):.2f}ms"
             )
         else:
             lines.append(f"  {instrument.full_name}: {instrument.value:g}")
@@ -380,9 +381,10 @@ def serving(state: CommandState, args: Sequence[str]) -> str:
     for instrument in hub.registry.instruments():
         if instrument.kind == "histogram" and \
                 instrument.full_name.startswith("repro_request_e2e_ms"):
+            histogram = instrument.histogram
             lines.append(
-                f"  {instrument.full_name}: n={instrument.count}"
-                f" p99={instrument.percentile(99):.1f}ms")
+                f"  {instrument.full_name}: n={histogram.count}"
+                f" p99={histogram.percentile(99):.1f}ms")
     hub.close()
     return "\n".join(lines)
 

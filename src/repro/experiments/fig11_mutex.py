@@ -15,6 +15,7 @@ from typing import List
 from repro.core.prng import ParkMillerPRNG
 from repro.experiments.common import ExperimentResult, build_machine
 from repro.metrics.histogram import Histogram
+from repro.metrics.stats import mean, stdev
 from repro.sync.mutex import LotteryMutex
 from repro.workloads.synthetic import MutexContender
 
@@ -61,24 +62,26 @@ def run(duration_ms: float = 120_000.0, group_size: int = 4,
     histograms = []
     for group_index, group_name in enumerate("AB"):
         group_acquired = 0
-        histogram = Histogram(histogram_bin_ms, name=f"group-{group_name}")
+        group_waits: List[float] = []
+        histogram = Histogram(histogram_bin_ms)
         for _, thread in groups[group_index]:
             group_acquired += mutex.acquisitions.get(thread.tid, 0)
             for wait in mutex.waiting_times.get(thread.tid, []):
-                histogram.add(wait)
+                histogram.record(wait)
+                group_waits.append(wait)
         acquisitions.append(group_acquired)
-        waits.append(histogram.mean())
-        histograms.append(histogram)
+        waits.append(mean(group_waits))
+        histograms.append((f"group-{group_name}", histogram))
         result.summary[f"group {group_name} acquisitions"] = group_acquired
         result.summary[f"group {group_name} mean wait (ms)"] = (
-            f"{histogram.mean():.0f} (sd {histogram.stdev():.0f})"
+            f"{mean(group_waits):.0f} (sd {stdev(group_waits):.0f})"
         )
 
-    for histogram in histograms:
+    for group, histogram in histograms:
         for start, end, count in histogram.bins():
             result.rows.append(
                 {
-                    "group": histogram.name,
+                    "group": group,
                     "wait_bin_ms": f"{start:.0f}-{end:.0f}",
                     "count": count,
                 }

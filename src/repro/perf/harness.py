@@ -21,6 +21,7 @@ relative, not absolute, speed.
 
 from __future__ import annotations
 
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -51,14 +52,22 @@ _CALIBRATION_ITERATIONS = 200_000
 
 
 def environment_fingerprint() -> Dict[str, Any]:
-    """Host/interpreter description embedded in every report."""
-    return {
+    """Host/interpreter description embedded in every report.
+
+    ``cpu_count`` is the host's CPUs; ``cpus_usable`` the ones this
+    process may run on (its affinity mask, where the OS exposes one).
+    """
+    fingerprint: Dict[str, Any] = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "system": platform.system(),
         "machine": platform.machine(),
         "argv_safe": "repro.perf",
+        "cpu_count": os.cpu_count(),
     }
+    if hasattr(os, "sched_getaffinity"):
+        fingerprint["cpus_usable"] = len(os.sched_getaffinity(0))
+    return fingerprint
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:

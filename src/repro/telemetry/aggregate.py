@@ -31,21 +31,20 @@ cores already produced and never feeds anything back, so a run with
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.telemetry.registry import parse_full_name
+from repro.metrics.histogram import merge_states
+from repro.telemetry.registry import HistogramInstrument, parse_full_name
 
 __all__ = [
     "FRAME_FORMAT",
     "FRAME_VERSION",
     "GlobalMetricsView",
-    "MergedHistogram",
     "MergedScalar",
     "ObsAggregator",
     "fairness_summary",
     "merge_frames",
-    "percentile_from_bins",
 ]
 
 FRAME_FORMAT = "repro-obs-frame"
@@ -55,28 +54,6 @@ FRAME_VERSION = 1
 #: replay entries and recent completed spans shipped in every frame).
 RING_ENTRIES = 32
 RING_SPANS = 16
-
-
-def percentile_from_bins(bins: List[List[float]], q: float) -> float:
-    """Nearest-rank percentile over merged histogram bins.
-
-    Raw observations do not cross core boundaries (frames carry bins
-    only), so the percentile is resolved to the upper edge of the bin
-    containing the ``q``-th ranked observation -- deterministic and
-    conservative (never under-reports a latency bound).
-    """
-    if not 0 <= q <= 100:
-        raise ReproError(f"percentile out of range: {q}")
-    total = sum(int(count) for _, _, count in bins)
-    if total == 0:
-        return 0.0
-    rank = max(1, int(-(-q * total // 100)))  # ceil(q/100 * total), >= 1
-    seen = 0
-    for _, end, count in bins:
-        seen += int(count)
-        if seen >= rank:
-            return float(end)
-    return float(bins[-1][1])
 
 
 class MergedScalar:
@@ -93,59 +70,6 @@ class MergedScalar:
 
     def snapshot_state(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-
-class _BinView:
-    """Duck-typed ``repro.metrics.Histogram`` over merged bins, so the
-    Prometheus exporter renders global histograms unchanged."""
-
-    __slots__ = ("_bins", "count", "_mean")
-
-    def __init__(self, bins: List[Tuple[float, float, int]], count: int,
-                 mean: float) -> None:
-        self._bins = bins
-        self.count = count
-        self._mean = mean
-
-    def bins(self) -> List[Tuple[float, float, int]]:
-        return list(self._bins)
-
-    def mean(self) -> float:
-        return self._mean
-
-
-class MergedHistogram:
-    """A histogram merged bin-wise across cores."""
-
-    kind = "histogram"
-
-    __slots__ = ("full_name", "help", "histogram")
-
-    def __init__(self, full_name: str, bins: List[Tuple[float, float, int]],
-                 count: int, mean: float, help: str = "") -> None:
-        self.full_name = full_name
-        self.help = help
-        self.histogram = _BinView(bins, count, mean)
-
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
-    def mean(self) -> float:
-        return self.histogram.mean()
-
-    def percentile(self, q: float) -> float:
-        return percentile_from_bins(
-            [list(b) for b in self.histogram.bins()], q)
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "mean": self.mean(),
-            "bins": [[start, end, count]
-                     for start, end, count in self.histogram.bins()],
-        }
 
 
 class GlobalMetricsView:
@@ -178,24 +102,6 @@ class GlobalMetricsView:
         return f"<GlobalMetricsView instruments={len(self._instruments)}>"
 
 
-def _merge_histogram(full_name: str,
-                     snapshots: List[Dict[str, Any]]) -> MergedHistogram:
-    bins: Dict[float, List[float]] = {}
-    count = 0
-    weighted = 0.0
-    for snapshot in snapshots:
-        count += int(snapshot["count"])
-        weighted += float(snapshot["mean"]) * int(snapshot["count"])
-        for start, end, n in snapshot["bins"]:
-            slot = bins.setdefault(float(start), [float(start),
-                                                  float(end), 0])
-            slot[2] += int(n)
-    ordered = [(s, e, int(n)) for s, e, n in
-               (bins[key] for key in sorted(bins))]
-    mean = weighted / count if count else 0.0
-    return MergedHistogram(full_name, ordered, count, mean)
-
-
 def merge_frames(frames: List[Dict[str, Any]]) -> GlobalMetricsView:
     """Fold per-core frames (canonical core order) into a global view.
 
@@ -217,7 +123,8 @@ def merge_frames(frames: List[Dict[str, Any]]) -> GlobalMetricsView:
                 f"cores: {sorted(kinds)}")
         kind = kinds.pop()
         if kind == "histogram":
-            merged[full_name] = _merge_histogram(full_name, snapshots)
+            merged[full_name] = HistogramInstrument(
+                full_name, merge_states(snapshots))
         else:
             value = 0.0
             for snapshot in snapshots:

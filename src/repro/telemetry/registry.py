@@ -3,9 +3,10 @@
 One :class:`MetricRegistry` per :class:`~repro.telemetry.probe.Telemetry`
 hub collects every instrument the probes record into, keyed by name
 plus a sorted label set (Prometheus-style identity: ``name{k="v"}``).
-Histograms reuse :class:`repro.metrics.histogram.Histogram`, so the
-wake-to-dispatch latency distribution exported here is the same shape
-as the paper's Figure 11 waiting-time histograms.
+A histogram instrument is a name around the one fixed-bin
+:class:`repro.metrics.histogram.Histogram`, the class behind the
+paper's Figure 11 waiting-time histograms, so its percentiles are upper
+bin edges and per-core instruments merge bin-wise across shards.
 
 Instruments are deterministic: values derive only from virtual-time
 events, registration order is the call order of the (deterministic)
@@ -94,38 +95,26 @@ class Gauge:
 
 
 class HistogramInstrument:
-    """A fixed-bin distribution, wrapping :class:`repro.metrics.Histogram`."""
+    """Name, help and kind around one :class:`Histogram`.
+
+    Per-core registries and the merged cross-core view
+    (:func:`repro.telemetry.aggregate.merge_frames`) both hold these.
+    """
 
     kind = "histogram"
 
-    def __init__(self, full_name: str, bin_width: float,
+    def __init__(self, full_name: str, histogram: Histogram,
                  help: str = "") -> None:
         self.full_name = full_name
         self.help = help
-        self.histogram = Histogram(bin_width, name=full_name)
+        self.histogram = histogram
 
     def record(self, value: float) -> None:
         """Record one observation (non-negative, per Histogram rules)."""
-        self.histogram.add(value)
-
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
-    def mean(self) -> float:
-        return self.histogram.mean()
-
-    def percentile(self, q: float) -> float:
-        return self.histogram.percentile(q)
+        self.histogram.record(value)
 
     def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.histogram.count,
-            "mean": self.histogram.mean(),
-            "bins": [[start, end, count]
-                     for start, end, count in self.histogram.bins()],
-        }
+        return {"kind": self.kind, **self.histogram.snapshot_state()}
 
 
 Instrument = Union[Counter, Gauge, HistogramInstrument]
@@ -168,7 +157,8 @@ class MetricRegistry:
                     f"{existing.histogram.bin_width:g})"
                 )
             return existing
-        instrument = HistogramInstrument(full_name, bin_width, help)
+        instrument = HistogramInstrument(full_name, Histogram(bin_width),
+                                         help)
         self._instruments[full_name] = instrument
         return instrument
 

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.telemetry.aggregate import percentile_from_bins
+from repro.metrics.histogram import Histogram, merge_states
 from repro.telemetry.registry import parse_full_name
 
 __all__ = ["SloPolicy", "SloEvaluator", "evaluate_slo"]
@@ -82,35 +82,18 @@ class SloPolicy:
             raise ReproError("min_samples must be >= 1")
 
 
-def _latency_bins(frames: List[Dict[str, Any]]) -> Dict[str, Dict[float, List[float]]]:
-    """band -> {bin start -> [start, end, count]} merged across cores."""
-    merged: Dict[str, Dict[float, List[float]]] = {}
+def _latency_by_band(frames: List[Dict[str, Any]]) -> Dict[str, Histogram]:
+    """share band -> latency histogram merged across cores."""
+    states: Dict[str, List[Dict[str, Any]]] = {}
     for frame in sorted(frames, key=lambda f: f["core"]):
         for full_name, snapshot in frame.get("metrics", {}).items():
             if snapshot.get("kind") != "histogram":
                 continue
             name, labels = parse_full_name(full_name)
-            if name != _LATENCY_METRIC:
-                continue
-            band = labels.get("share", "")
-            bins = merged.setdefault(band, {})
-            for start, end, count in snapshot["bins"]:
-                slot = bins.setdefault(float(start),
-                                       [float(start), float(end), 0])
-                slot[2] += int(count)
-    return merged
-
-
-def _window_delta(now: Dict[float, List[float]],
-                  then: Dict[float, List[float]]) -> List[List[float]]:
-    """Cumulative bins at the window edges -> observations inside it."""
-    delta: List[List[float]] = []
-    for start in sorted(now):
-        start_v, end_v, count = now[start]
-        before = then.get(start, [start_v, end_v, 0])[2]
-        if count - before > 0:
-            delta.append([start_v, end_v, count - before])
-    return delta
+            if name == _LATENCY_METRIC:
+                states.setdefault(labels.get("share", ""), []).append(
+                    snapshot)
+    return {band: merge_states(group) for band, group in states.items()}
 
 
 class SloEvaluator:
@@ -202,16 +185,16 @@ class SloEvaluator:
         window = self.policy.latency_window
         if index < window:
             return 0
-        now = _latency_bins(record["frames"])
-        then = _latency_bins(slices[index - window]["frames"])
+        now = _latency_by_band(record["frames"])
+        then = _latency_by_band(slices[index - window]["frames"])
         checks = 0
         for band in sorted(now):
-            delta = _window_delta(now[band], then.get(band, {}))
-            samples = sum(int(n) for _, _, n in delta)
+            delta = now[band].since(then.get(band))
+            samples = delta.count
             if samples < self.policy.min_samples:
                 continue
             checks += 1
-            p99 = percentile_from_bins(delta, 99)
+            p99 = delta.percentile(99)
             if p99 > self.policy.p99_ceiling_ms:
                 breaches.append({
                     "rule": "latency.p99", "time": record["time"],

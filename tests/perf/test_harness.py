@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -43,6 +44,18 @@ def test_percentile_rejects_empty_and_out_of_range():
         percentile([], 0.5)
     with pytest.raises(ReproError):
         percentile([1.0], 1.5)
+
+
+# -- fingerprint --------------------------------------------------------------
+
+
+def test_fingerprint_records_host_and_usable_cpus():
+    fingerprint = environment_fingerprint()
+    assert fingerprint["cpu_count"] == os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        usable = fingerprint["cpus_usable"]
+        assert usable == len(os.sched_getaffinity(0))
+        assert 1 <= usable <= (os.cpu_count() or usable)
 
 
 # -- run_benchmarks ---------------------------------------------------------

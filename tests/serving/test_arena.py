@@ -76,7 +76,7 @@ class TestTelemetry:
         arena.run()
         e2e = [i for i in hub.registry.instruments()
                if i.full_name.startswith("repro_request_e2e_ms")]
-        assert e2e and sum(i.count for i in e2e) \
+        assert e2e and sum(i.histogram.count for i in e2e) \
             == sum(arena.stats.completed.values())
 
     def test_arena_runs_clean_without_a_hub(self):

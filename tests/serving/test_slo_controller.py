@@ -32,7 +32,8 @@ class TestClassLatencyProbe:
         probe.on_dispatch(threads[2], 50.0)  # not a class
         digest = probe.digest("gold")
         assert digest.count == 2
-        assert digest.max_ms == 25.0
+        assert digest.bins() == [(10.0, 15.0, 1), (25.0, 30.0, 1)]
+        assert digest.percentile(100) == 30.0
         assert stats.wake["gold"].count == 2
         assert "be" not in probe.window
 

@@ -9,12 +9,11 @@ from repro.telemetry.aggregate import (
     FRAME_FORMAT,
     FRAME_VERSION,
     GlobalMetricsView,
-    MergedHistogram,
     ObsAggregator,
     fairness_summary,
     merge_frames,
-    percentile_from_bins,
 )
+from repro.telemetry.registry import HistogramInstrument
 
 
 def _frame(core, time=500.0, metrics=None, threads=None, shard=None):
@@ -43,19 +42,25 @@ def _hist(bins, count, mean):
     return {"kind": "histogram", "bins": bins, "count": count, "mean": mean}
 
 
-# -- percentile_from_bins ------------------------------------------------------
+# -- merged percentiles --------------------------------------------------------
+
+def _merged(bins):
+    count = sum(n for _, _, n in bins)
+    view = merge_frames([_frame(0, metrics={"lat": _hist(bins, count, 1.0)})])
+    return view.get("lat").histogram
+
 
 def test_percentile_resolves_to_upper_bin_edge():
-    bins = [[0.0, 10.0, 50], [10.0, 20.0, 49], [20.0, 30.0, 1]]
-    assert percentile_from_bins(bins, 50) == 10.0
-    assert percentile_from_bins(bins, 99) == 20.0
-    assert percentile_from_bins(bins, 100) == 30.0
+    merged = _merged([[0.0, 10.0, 50], [10.0, 20.0, 49], [20.0, 30.0, 1]])
+    assert merged.percentile(50) == 10.0
+    assert merged.percentile(99) == 20.0
+    assert merged.percentile(100) == 30.0
 
 
 def test_percentile_empty_and_range_checks():
-    assert percentile_from_bins([], 99) == 0.0
+    assert _merged([]).percentile(99) == 0.0
     with pytest.raises(ReproError, match="percentile"):
-        percentile_from_bins([[0.0, 1.0, 1]], 101)
+        _merged([[0.0, 1.0, 1]]).percentile(101)
 
 
 # -- merge_frames --------------------------------------------------------------
@@ -76,11 +81,11 @@ def test_histograms_merge_bin_wise():
                                          [10.0, 20.0, 2]], 4, 10.0)}),
     ])
     merged = view.get("lat")
-    assert isinstance(merged, MergedHistogram)
-    assert merged.count == 8
+    assert isinstance(merged, HistogramInstrument)
+    assert merged.histogram.count == 8
     assert merged.histogram.bins() == [(0.0, 10.0, 6), (10.0, 20.0, 2)]
-    assert merged.mean() == pytest.approx(7.5)
-    assert merged.percentile(99) == 20.0
+    assert merged.histogram.mean() == pytest.approx(7.5)
+    assert merged.histogram.percentile(99) == 20.0
 
 
 def test_kind_conflict_across_cores_raises():

@@ -66,9 +66,10 @@ class TestInstruments:
         histogram = registry.histogram("h", 5.0)
         for value in (1.0, 6.0, 11.0):
             histogram.record(value)
-        assert histogram.count == 3
-        assert histogram.mean() == pytest.approx(6.0)
-        assert histogram.percentile(100) == 11.0
+        assert histogram.histogram.count == 3
+        assert histogram.histogram.mean() == pytest.approx(6.0)
+        # Upper edge of the bin holding the largest observation.
+        assert histogram.histogram.percentile(100) == 15.0
 
     def test_histogram_rejects_negative_observations(self):
         registry = MetricRegistry()
