@@ -186,9 +186,11 @@ def format_shard_summary(report: PerfReport, markdown: bool = False) -> str:
     each backend/shards variant's throughput as a speedup over that
     size's ``single`` (one-event-loop oracle) variant -- the number the
     sharding work exists to move.  Supervised variants share the size
-    group, so their row reads directly as the supervision tax against
-    the bare mp variant.  Returns ``""`` when the report holds no shard
-    benchmarks (e.g. a filtered run).
+    group: both mp rows run the one mp protocol, the dispatch row under
+    the fail-stop policy and the supervised row under the recovering
+    one, so with no fault firing they should agree within noise.
+    Returns ``""`` when the report holds no shard benchmarks (e.g. a
+    filtered run).
     """
     prefixes = ("shard.dispatch.", "shard.supervised.")
     groups: Dict[str, List[Any]] = {}

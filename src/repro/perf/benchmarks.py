@@ -340,9 +340,9 @@ def _full_suite(quick: bool = False) -> List[BenchmarkEntry]:
          {"threads": 10_000, "backend": "mp", "shards": 4,
           "epochs": epochs},
          _shard_dispatch(10_000, "mp", 4, epochs, True)),
-        # Supervised mp with no faults firing: the gap to the bare mp
-        # variant above is the pure supervision tax (framing checksums,
-        # heartbeat polling, command logging) -- budgeted at <= 5%.
+        # The same mp protocol under the recovering policy, no faults
+        # firing: it does the same work as the fail-stop row above, so
+        # a gap between the two is noise or a policy-dependent cost.
         ("shard.supervised.10000.mp.s4",
          {"threads": 10_000, "backend": "mp", "shards": 4,
           "epochs": epochs, "supervise": True},

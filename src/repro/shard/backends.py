@@ -12,9 +12,11 @@ in what interleaving core events execute:
 * ``inline`` -- cores run sequentially, one whole epoch per core, in
   core order.  Same process, no parallelism; the cheap default.
 * ``mp`` -- one persistent worker process per shard; each worker
-  rebuilds its cores from the JSON plan and exchanges only epoch
-  commands and barrier payloads with the parent (never objects), for
-  real wall-clock speedup on multi-core hosts.
+  rebuilds its cores from the JSON plan and exchanges only checksummed
+  JSON frames with the parent (never objects), for real wall-clock
+  speedup on multi-core hosts.  It lives in
+  :mod:`repro.shard.supervisor`; ``make_backend("mp", ...)`` builds it
+  under the fail-stop policy.
 
 Confluence is why the interleavings agree: cores share no state, and
 every cross-core effect is a JSON payload applied at a barrier in
@@ -25,10 +27,7 @@ canonical ``(target, src, seq)`` order, so any schedule of the
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ShardError
 from repro.shard.core import ShardCore
@@ -36,10 +35,22 @@ from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
 from repro.shard.topology import ShardTopology
 
-__all__ = ["BACKENDS", "InlineBackend", "MpBackend", "SingleBackend",
-           "make_backend"]
+__all__ = ["BACKENDS", "InlineBackend", "SingleBackend", "make_backend"]
 
 _EPS = 1e-9
+
+
+def _apply_barrier(cores: Iterable[ShardCore], time: float,
+                  payloads: List[Dict[str, Any]]) -> None:
+    """Advance every core to the barrier instant ``time`` and schedule
+    the payloads addressed to it (cores without payloads still advance).
+    Shared by the in-process backends and the mp worker, so a barrier
+    means the same thing wherever a core lives."""
+    grouped: Dict[int, List[Dict[str, Any]]] = {}
+    for payload in payloads:
+        grouped.setdefault(payload["target"], []).append(payload)
+    for core in cores:
+        core.apply_barrier(time, grouped.get(core.core_id, []))
 
 
 class _InProcessBackend:
@@ -76,11 +87,7 @@ class _InProcessBackend:
 
     def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
         self.router.install()
-        grouped: Dict[int, List[Dict[str, Any]]] = {}
-        for payload in payloads:
-            grouped.setdefault(payload["target"], []).append(payload)
-        for core in self.cores:
-            core.apply_barrier(time, grouped.get(core.core_id, []))
+        _apply_barrier(self.cores, time, payloads)
 
     def snapshots(self) -> List[dict]:
         return [core.snapshot_state() for core in self.cores]
@@ -153,303 +160,21 @@ class SingleBackend(_InProcessBackend):
             core.loop.advance_clock(until)
 
 
-# -- multiprocessing backend --------------------------------------------------
+def _mp_backend(plan: ShardPlan, topology: ShardTopology,
+                obs: bool = False) -> Any:
+    """The ``mp`` backend under the fail-stop policy: the first dead,
+    hung or corrupting worker raises :class:`ShardError`.
+    ``ShardedEngine(supervise=True)`` builds the same class with a
+    recovering policy instead (see :mod:`repro.shard.supervisor`)."""
+    from repro.shard.supervisor import FAIL_STOP, SupervisedMpBackend
 
-
-def _reap_process(process: Any, timeout: float) -> bool:
-    """Join ``process``, escalating terminate -> kill; True when dead."""
-    process.join(timeout=timeout)
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=timeout)
-    if process.is_alive():
-        process.kill()
-        process.join(timeout=timeout)
-    return not process.is_alive()
-
-
-def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
-                        sanitize: bool, obs: bool = False) -> tuple:
-    """(Re)build a shard's universe inside a worker process."""
-    if sanitize:
-        os.environ["REPRO_SANITIZE"] = "1"
-        from repro.analysis.sanitizer import install_autosanitize
-
-        install_autosanitize()
-    plan = ShardPlan.from_dict(plan_dict)
-    router = ShardRouter()
-    router.install()
-    cores = {core_id: ShardCore(core_id, plan, router, obs=obs)
-             for core_id in sorted(core_ids)}
-    return cores, router
-
-
-def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
-                     message: Dict[str, Any],
-                     obs: bool = False) -> Dict[str, Any]:
-    """Run one worker command against this process's cores.
-
-    Shared by the bare and supervised worker mains so the command
-    semantics -- and therefore the produced histories -- cannot drift
-    between the fail-stop and the fault-tolerant protocol.  With
-    ``obs``, epoch/inclusive replies piggyback per-core observability
-    frames and ``collect`` replies carry full span dumps -- pure
-    per-core reads, so the canonical reply content is unchanged.
-    """
-    command = message["cmd"]
-    if command == "epoch":
-        for core_id in sorted(cores):
-            cores[core_id].run_epoch(message["horizon"])
-        reply: Dict[str, Any] = {"payloads": router.drain()}
-        if obs:
-            reply["obs"] = [cores[core_id].obs_frame(message["horizon"])
-                            for core_id in sorted(cores)]
-        return reply
-    if command == "inclusive":
-        for core_id in sorted(cores):
-            cores[core_id].run_inclusive(message["until"])
-        reply = {"payloads": router.drain()}
-        if obs:
-            reply["obs"] = [cores[core_id].obs_frame(message["until"])
-                            for core_id in sorted(cores)]
-        return reply
-    if command == "barrier":
-        grouped: Dict[int, List[Dict[str, Any]]] = {}
-        for payload in message["payloads"]:
-            grouped.setdefault(payload["target"], []).append(payload)
-        for core_id in sorted(cores):
-            cores[core_id].apply_barrier(
-                message["time"], grouped.get(core_id, []))
-        return {"ok": True}
-    if command == "collect":
-        entries = []
-        for core_id in sorted(cores):
-            entry = {"core": core_id,
-                     "snapshot": cores[core_id].snapshot_state(),
-                     "stream": cores[core_id].stream_entries()}
-            if obs:
-                entry["obs"] = cores[core_id].obs_dump()
-            entries.append(entry)
-        return {"cores": entries}
-    if command == "stop":
-        return {"ok": True, "stop": True}
-    raise ShardError(f"unknown worker command {command!r}")
-
-
-def _describe_error(exc: BaseException, command: Optional[str]) -> dict:
-    """Worker-side failure description shipped back over the pipe, so
-    supervisor logs and ShardError messages name the real cause."""
-    return {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": traceback.format_exc(),
-        "cmd": command,
-    }
-
-
-def _format_worker_error(shard: int, error: Any) -> str:
-    """Render a worker error reply (structured dict or legacy text)."""
-    if isinstance(error, dict):
-        command = error.get("cmd")
-        where = f" running {command!r}" if command else ""
-        return (f"shard worker {shard} failed{where}: "
-                f"{error.get('type', 'Exception')}: "
-                f"{error.get('message', '')}\n"
-                f"{error.get('traceback', '')}")
-    return f"shard worker {shard} failed:\n{error}"
-
-
-def _worker_main(conn: Any, plan_dict: Dict[str, Any],
-                 core_ids: List[int], sanitize: bool,
-                 obs: bool = False) -> None:
-    """Worker entry point: rebuild this shard's cores from the plan
-    and serve epoch/barrier commands until told to stop.
-
-    Module-level (not a closure) so the function is importable under
-    the ``spawn`` start method as well as ``fork``.  Workers carry
-    their own router and -- when the parent runs under
-    ``REPRO_SANITIZE=1`` -- their own race sanitizer, so barrier
-    handoffs are sanitized inside every process.
-    """
-    command: Optional[str] = None
-    try:
-        cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,
-                                            obs=obs)
-        while True:
-            message = conn.recv()
-            command = message.get("cmd")
-            reply = _execute_command(cores, router, message, obs=obs)
-            conn.send(reply)
-            if reply.get("stop"):
-                break
-    except EOFError:  # parent went away: nothing left to serve
-        pass
-    except BaseException as exc:
-        try:
-            conn.send({"error": _describe_error(exc, command)})
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
-
-
-class MpBackend:
-    """One persistent worker process per shard, payloads over pipes."""
-
-    name = "mp"
-
-    def __init__(self, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False) -> None:
-        self.plan = plan
-        self.topology = topology
-        self.obs = bool(obs)
-        self._collected: List[Dict[str, Any]] = []
-        self._obs_frames: List[Dict[str, Any]] = []
-        self._workers: List[Any] = []
-        self._conns: List[Any] = []
-        context = multiprocessing.get_context()
-        sanitize = bool(os.environ.get("REPRO_SANITIZE"))
-        plan_dict = plan.to_dict()
-        for shard in range(topology.shards):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(child_conn, plan_dict, topology.cores_of(shard),
-                      sanitize, self.obs),
-                daemon=True,
-                name=f"repro-shard-{shard}",
-            )
-            process.start()
-            child_conn.close()
-            self._workers.append(process)
-            self._conns.append(parent_conn)
-
-    # -- command plumbing -----------------------------------------------------
-
-    def _broadcast(self, message: Dict[str, Any],
-                   per_shard: Optional[List[Dict[str, Any]]] = None
-                   ) -> List[Dict[str, Any]]:
-        """Send to every worker first, then gather replies, so shards
-        genuinely run concurrently."""
-        for shard, conn in enumerate(self._conns):
-            payload = dict(message if per_shard is None else per_shard[shard])
-            conn.send(payload)
-        replies = []
-        for shard, conn in enumerate(self._conns):
-            try:
-                reply = conn.recv()
-            except EOFError:
-                raise ShardError(
-                    f"shard worker {shard} died mid-command "
-                    f"{message.get('cmd')!r}") from None
-            if "error" in reply:
-                raise ShardError(_format_worker_error(shard, reply["error"]))
-            replies.append(reply)
-        return replies
-
-    def run_epoch(self, horizon: float) -> None:
-        replies = self._broadcast({"cmd": "epoch", "horizon": horizon})
-        self._obs_frames = []
-        for reply in replies:
-            self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
-
-    def run_inclusive(self, until: float) -> None:
-        replies = self._broadcast({"cmd": "inclusive", "until": until})
-        self._obs_frames = []
-        for reply in replies:
-            self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
-
-    def collect(self) -> List[Dict[str, Any]]:
-        out, self._collected = self._collected, []
-        return out
-
-    def collect_obs(self, time: float) -> List[Dict[str, Any]]:
-        """Frames piggybacked on the last slice's replies (already
-        pickled over the pipe, i.e. plain data by construction)."""
-        out, self._obs_frames = self._obs_frames, []
-        return sorted(out, key=lambda frame: frame["core"])
-
-    def obs_dumps(self) -> List[Dict[str, Any]]:
-        if not self.obs:
-            return []
-        return [entry["obs"] for entry in self._collect_cores()]
-
-    def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
-        per_shard: List[Dict[str, Any]] = [
-            {"cmd": "barrier", "time": time, "payloads": []}
-            for _ in self._conns]
-        for payload in payloads:
-            shard = self.topology.shard_of(payload["target"])
-            per_shard[shard]["payloads"].append(payload)
-        self._broadcast({"cmd": "barrier"}, per_shard=per_shard)
-
-    # -- observation ----------------------------------------------------------
-
-    def _collect_cores(self) -> List[Dict[str, Any]]:
-        replies = self._broadcast({"cmd": "collect"})
-        cores = [entry for reply in replies for entry in reply["cores"]]
-        cores.sort(key=lambda entry: entry["core"])
-        return cores
-
-    def snapshots(self) -> List[dict]:
-        return [entry["snapshot"] for entry in self._collect_cores()]
-
-    def streams(self) -> List[List[Dict[str, Any]]]:
-        return [entry["stream"] for entry in self._collect_cores()]
-
-    def local_kernels(self) -> List[Any]:
-        """No kernels live in the parent process under ``mp``."""
-        return []
-
-    #: Host seconds granted to each shutdown stage (stop ack, join,
-    #: terminate, kill); a class attribute so tests can shrink it.
-    close_timeout_s = 5.0
-
-    def close(self) -> None:
-        """Stop every worker, escalating politely: ``stop`` command ->
-        ``terminate`` (SIGTERM) -> ``kill`` (SIGKILL).
-
-        Wedged workers used to hang this method at ``conn.recv()``;
-        the ack wait is now bounded by ``close_timeout_s`` and pipes
-        that died early (EOF/broken) are tolerated.  A worker that
-        survives SIGKILL is reported by shard id instead of hanging
-        the interpreter at exit.
-        """
-        timeout = self.close_timeout_s
-        for conn in self._conns:
-            try:
-                conn.send({"cmd": "stop"})
-                if conn.poll(timeout):
-                    conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            finally:
-                conn.close()
-        unkillable: List[int] = []
-        for shard, process in enumerate(self._workers):
-            if not _reap_process(process, timeout):  # pragma: no cover
-                unkillable.append(shard)
-        self._conns = []
-        self._workers = []
-        if unkillable:  # pragma: no cover - kernel-level wedge
-            raise ShardError(
-                f"shard worker(s) {unkillable} survived SIGKILL during "
-                f"close; processes leaked")
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        if self._workers:
-            try:
-                self.close()
-            except Exception:
-                pass
+    return SupervisedMpBackend(plan, topology, policy=FAIL_STOP, obs=obs)
 
 
 BACKENDS = {
     "single": SingleBackend,
     "inline": InlineBackend,
-    "mp": MpBackend,
+    "mp": _mp_backend,
 }
 
 

@@ -62,14 +62,18 @@ class ShardedEngine:
         Number of execution placement groups; cores map onto shards by
         ``core_id % shards`` unless the plan pins them.
     backend:
-        ``"single"`` (the oracle), ``"inline"`` (default), or ``"mp"``.
+        ``"single"`` (the oracle), ``"inline"`` (default), or ``"mp"``
+        (:class:`repro.shard.supervisor.SupervisedMpBackend`: one
+        worker process per shard, checksummed pipe frames and
+        per-barrier heartbeats; fail-stop unless ``supervise``).
     epoch_ms:
         Barrier grid; defaults to the plan's ``epoch_ms``.
     supervise:
-        Run the ``mp`` backend under the fault-tolerant supervisor
-        (:class:`repro.shard.supervisor.SupervisedMpBackend`):
-        checksummed pipe frames, per-barrier heartbeats, and
-        respawn-and-replay recovery.  Requires ``backend="mp"``.
+        Run the ``mp`` backend under a recovering
+        :class:`repro.shard.supervisor.SupervisorPolicy` (``policy``,
+        or the default) instead of the fail-stop one:
+        respawn-and-replay recovery, then inline degradation.
+        Requires ``backend="mp"``.
     policy:
         A :class:`repro.shard.supervisor.SupervisorPolicy` overriding
         the default retry budget / deadlines (supervised runs only).
@@ -234,12 +238,19 @@ class ShardedEngine:
 
     def recovery_summary(self) -> dict:
         """Supervisor recovery counters and events (observability; not
-        part of the canonical state).  Empty for unsupervised runs."""
+        part of the canonical state).
+
+        A run without a single recovery event -- any in-process run,
+        and any ``mp`` run whose workers never failed -- reports the
+        same empty annex, so a healthy run's report is byte-identical
+        on every backend and shard count."""
         summary = getattr(self._backend, "recovery_summary", None)
-        if summary is None:
-            return {"degraded": False, "restarts": [], "retries": [],
-                    "faults_armed": 0, "events": []}
-        return summary()
+        if summary is not None:
+            annex = summary()
+            if annex["events"]:
+                return annex
+        return {"degraded": False, "restarts": [], "retries": [],
+                "faults_armed": 0, "events": []}
 
     # -- observability plane ---------------------------------------------------
 

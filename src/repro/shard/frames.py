@@ -1,10 +1,9 @@
-"""Checksummed pipe frames for the supervised mp backend.
+"""Checksummed pipe frames: the wire format of the mp backend.
 
-The bare ``mp`` backend trusts its pipes: whatever ``Connection.recv``
-returns is applied verbatim.  The supervised backend assumes pipes can
-*lie* -- a worker may be killed mid-write, wedge forever, or hand back
-bytes that were damaged in flight -- so every message crossing a
-supervised pipe travels as a **frame**: raw bytes
+The mp backend assumes pipes can *lie* -- a worker may be killed
+mid-write, wedge forever, or hand back bytes that were damaged in
+flight -- so every message crossing its pipes travels as a **frame**:
+raw bytes
 
 ``b"RF1\\n" + sha256(body) + body``
 
@@ -14,13 +13,11 @@ those bytes.  The receiver recomputes the digest before parsing; any
 mismatch -- or any frame that is not shaped like a frame -- raises
 :class:`~repro.errors.FrameCorruptError`, which the supervisor treats
 exactly like a worker crash: respawn and replay from the last
-committed barrier.
+committed barrier, or ``ShardError`` under the fail-stop policy.
 
 Frames are sent with ``send_bytes``/``recv_bytes`` rather than
-``send``/``recv``: supervision sits on the latency path of every epoch
-exchange, and skipping the pickle wrapper keeps the no-fault
-supervision tax inside its <=5%% budget (``shard.supervised.10000``
-vs ``shard.dispatch.10000.mp``).
+``send``/``recv``: framing sits on the latency path of every epoch
+exchange, and skipping the pickle wrapper keeps its cost down.
 
 Framing doubles as a protocol-level determinism check: the body bytes
 of a frame are a pure function of the message, so a replayed command

@@ -1,32 +1,42 @@
-"""Fault-tolerant execution of the mp backend: worker supervision.
+"""The mp backend: one supervised worker process per shard.
 
-The bare :class:`~repro.shard.backends.MpBackend` is fail-stop: a
-dead, hung, or corrupting worker raises
-:class:`~repro.errors.ShardError` and the whole run is lost.
-:class:`SupervisedMpBackend` wraps the same one-worker-per-shard
-layout in a supervisor that *recovers*:
+:class:`SupervisedMpBackend` is the only multiprocessing backend.  Each
+shard's cores live in a persistent worker process that rebuilds them
+from the JSON :class:`~repro.shard.plan.ShardPlan` and speaks one
+protocol with the parent:
 
 * every pipe message travels as a sha256-checksummed frame
   (:mod:`repro.shard.frames`), so damaged payloads are detected, not
   applied;
+* one round trip per epoch: :meth:`~SupervisedMpBackend.barrier` only
+  records the canonical payloads, and they ride on the next command
+  the shard receives (epoch, inclusive or collect), which the worker
+  applies first;
 * every exchange doubles as a per-barrier heartbeat bounded by a
   host-time deadline, so a wedged worker is detected, not waited on
-  forever;
-* on worker crash (SIGKILL/exit), hang (deadline exceeded), or corrupt
-  frame, the shard's worker is respawned from the
-  :class:`~repro.shard.plan.ShardPlan` and **replayed from the
-  committed command log** -- every epoch horizon and barrier payload
-  the supervisor has already acknowledged.  Because a core's history
-  is a pure function of ``(plan, core_id, barrier payloads received)``
-  (the sharding determinism argument, ``docs/SHARDING.md``), replay
-  reconstructs the state at the last committed epoch barrier
-  bit-exactly: barriers are implicit recovery points, for free;
-* recovery attempts are bounded by a :class:`SupervisorPolicy` budget
-  with exponential host-time backoff.  On exhaustion the run
-  **degrades**: all workers are stopped, the full universe is rebuilt
-  in-process from the same log, and the run completes on the inline
-  path -- legal because engine snapshots deliberately exclude backend
-  and shard identity, so the final checkpoint is still bit-identical.
+  forever.
+
+A :class:`SupervisorPolicy` decides what a host fault -- a worker
+crash (SIGKILL/exit), hang (deadline exceeded) or corrupt frame --
+costs.  ``backend="mp"`` alone runs under :data:`FAIL_STOP`: the first
+fault raises :class:`~repro.errors.ShardError` and the run is lost.
+``supervise=True`` runs under a recovering policy:
+
+* the shard's worker is respawned from the plan and **replayed from
+  the committed command log** -- every epoch horizon and barrier
+  payload list the supervisor has already acknowledged.  Because a
+  core's history is a pure function of ``(plan, core_id, barrier
+  payloads received)`` (the sharding determinism argument,
+  ``docs/SHARDING.md``), replay reconstructs the state at the last
+  committed epoch barrier bit-exactly: barriers are implicit recovery
+  points, for free;
+* recovery attempts are bounded by the policy's budget with
+  exponential host-time backoff.  On exhaustion the run **degrades**:
+  every worker is killed, an
+  :class:`~repro.shard.backends.InlineBackend` replays the same log,
+  and the run completes on it -- legal because engine snapshots
+  deliberately exclude backend and shard identity, so the final
+  checkpoint is still bit-identical.
 
 Deterministic worker *exceptions* (a reply carrying a traceback) are
 not host faults: retrying deterministic code re-raises the same
@@ -49,22 +59,16 @@ perturb the simulated history.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FrameCorruptError, ShardError
-from repro.shard.backends import (
-    _build_worker_cores,
-    _describe_error,
-    _execute_command,
-    _format_worker_error,
-    _reap_process,
-)
+from repro.shard.backends import InlineBackend, _apply_barrier
 from repro.shard.core import ShardCore
 from repro.shard.frames import (
     corrupt_frame,
@@ -77,7 +81,7 @@ from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
 from repro.shard.topology import ShardTopology
 
-__all__ = ["SupervisedMpBackend", "SupervisorPolicy"]
+__all__ = ["FAIL_STOP", "SupervisedMpBackend", "SupervisorPolicy"]
 
 
 @dataclass(frozen=True)
@@ -87,10 +91,10 @@ class SupervisorPolicy:
     shape, but supervises real processes instead of simulated ones).
 
     ``max_retries`` bounds recoveries *per command exchange*; once a
-    single epoch/barrier needs more, the run degrades to the inline
-    backend (``degrade=True``) or raises.  ``deadline_s`` is the
-    per-exchange heartbeat deadline; a worker that does not reply in
-    time is declared hung.  Failed attempt ``k`` backs off
+    single epoch or collect exchange needs more, the run degrades to
+    the inline backend (``degrade=True``) or raises.  ``deadline_s``
+    is the per-exchange heartbeat deadline; a worker that does not
+    reply in time is declared hung.  Failed attempt ``k`` backs off
     ``min(backoff_base_s * backoff_factor**(k-1), backoff_max_s)``
     host seconds before the respawn.
     """
@@ -119,6 +123,11 @@ class SupervisorPolicy:
             raise ShardError(f"attempt is 1-based: {attempt}")
         return min(self.backoff_base_s * self.backoff_factor ** (attempt - 1),
                    self.backoff_max_s)
+
+
+#: The policy of ``backend="mp"`` without ``supervise``: no respawn, no
+#: degradation -- the first crash, hang or corrupt frame raises.
+FAIL_STOP = SupervisorPolicy(max_retries=0, degrade=False)
 
 
 # -- worker side --------------------------------------------------------------
@@ -161,16 +170,77 @@ def _apply_reply_faults(faults: List[Dict[str, Any]],
     return frame
 
 
-def _supervised_worker_main(conn: Any, plan_dict: Dict[str, Any],
-                            core_ids: List[int], sanitize: bool,
-                            obs: bool = False) -> None:
-    """Framed worker loop: like ``_worker_main`` but every message is a
-    checksummed frame, and armed host-fault descriptors riding on a
-    command make the worker damage itself at the scripted point."""
+#: ``collect`` request name -> the per-core read that answers it.
+_CORE_READS = {"snapshots": "snapshot_state", "streams": "stream_entries",
+               "obs_dumps": "obs_dump"}
+
+
+def _execute(cores: List[ShardCore], router: ShardRouter,
+             message: Dict[str, Any], obs: bool) -> Dict[str, Any]:
+    """Run one command on this worker's cores, after applying the
+    barrier batches that rode in on it.  With ``obs``, slice replies
+    piggyback per-core observability frames -- pure per-core reads, so
+    the canonical reply content is unchanged."""
+    for barrier_time, payloads in message.get("barriers", ()):
+        _apply_barrier(cores, barrier_time, payloads)
+    command = message["cmd"]
+    if command == "collect":
+        read = _CORE_READS[message["what"]]
+        return {"cores": [[core.core_id, getattr(core, read)()]
+                          for core in cores]}
+    if command == "stop":
+        return {"ok": True}
+    if command == "epoch":
+        for core in cores:
+            core.run_epoch(message["time"])
+    elif command == "inclusive":
+        for core in cores:
+            core.run_inclusive(message["time"])
+    else:
+        raise ShardError(f"unknown worker command {command!r}")
+    reply: Dict[str, Any] = {"payloads": router.drain()}
+    if obs:
+        reply["obs"] = [core.obs_frame(message["time"]) for core in cores]
+    return reply
+
+
+def _describe_error(exc: BaseException, command: Optional[str]) -> dict:
+    """Worker-side failure description shipped back over the pipe, so
+    supervisor logs and ShardError messages name the real cause."""
+    return {
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": traceback.format_exc(),
+        "cmd": command,
+    }
+
+
+def _serve_shard(conn: Any, plan_dict: Dict[str, Any],
+                 core_ids: List[int], sanitize: bool,
+                 obs: bool = False) -> None:
+    """Worker entry point: rebuild this shard's cores from the plan and
+    serve framed commands until told to stop.
+
+    Module-level (not a closure) so the function is importable under
+    the ``spawn`` start method as well as ``fork``.  Workers carry
+    their own router and -- when the parent runs under
+    ``REPRO_SANITIZE=1`` -- their own race sanitizer, so barrier
+    handoffs are sanitized inside every process.  Armed host-fault
+    descriptors riding on a command make the worker damage itself at
+    the scripted point.
+    """
     command: Optional[str] = None
     try:
-        cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,
-                                            obs=obs)
+        if sanitize:
+            os.environ["REPRO_SANITIZE"] = "1"
+            from repro.analysis.sanitizer import install_autosanitize
+
+            install_autosanitize()
+        plan = ShardPlan.from_dict(plan_dict)
+        router = ShardRouter()
+        router.install()
+        cores = [ShardCore(core_id, plan, router, obs=obs)
+                 for core_id in sorted(core_ids)]
         while True:
             message = decode_frame(conn.recv_bytes())
             command = message.get("cmd")
@@ -179,15 +249,11 @@ def _supervised_worker_main(conn: Any, plan_dict: Dict[str, Any],
                 if fault.get("kind") == "kill" and \
                         fault.get("point") == "pre":
                     _self_destruct()
-            reply = _execute_command(cores, router, message, obs=obs)
             frame = _apply_reply_faults(
-                [fault for fault in faults
-                 if not (fault.get("kind") == "kill"
-                         and fault.get("point") == "pre")],
-                encode_frame(reply))
+                faults, encode_frame(_execute(cores, router, message, obs)))
             if frame is not None:
                 conn.send_bytes(frame)
-            if reply.get("stop"):
+            if command == "stop":
                 break
     except EOFError:  # supervisor went away (or respawned us): done
         pass
@@ -206,30 +272,68 @@ def _supervised_worker_main(conn: Any, plan_dict: Dict[str, Any],
 # -- supervisor side ----------------------------------------------------------
 
 
-class _WorkerHandle:
-    """One shard's live worker process + pipe."""
+def _format_worker_error(shard: int, error: Dict[str, Any]) -> str:
+    """Render a worker's structured error reply."""
+    command = error.get("cmd")
+    where = f" running {command!r}" if command else ""
+    return (f"shard worker {shard} failed{where}: "
+            f"{error.get('type', 'Exception')}: "
+            f"{error.get('message', '')}\n"
+            f"{error.get('traceback', '')}")
 
-    __slots__ = ("shard", "process", "conn")
+
+def _reap_process(process: Any, timeout: float) -> bool:
+    """Join ``process``, escalating terminate -> kill; True when dead."""
+    process.join(timeout=timeout)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=timeout)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=timeout)
+    return not process.is_alive()
+
+
+class _WorkerHandle:
+    """One shard's live worker process + pipe, and how much of the
+    command log the worker has applied."""
+
+    __slots__ = ("shard", "process", "conn", "applied")
 
     def __init__(self, shard: int, process: Any, conn: Any) -> None:
         self.shard = shard
         self.process = process
         self.conn = conn
+        #: Log entries ``[0, applied)`` are reflected in the worker's
+        #: cores; barrier entries past it ride on the next command.
+        self.applied = 0
+
+
+def _apply_logged(backend: InlineBackend, command: Dict[str, Any]) -> None:
+    """Run one command-log entry on the in-process backend."""
+    if command["cmd"] == "barrier":
+        backend.barrier(command["time"], command["payloads"])
+    elif command["cmd"] == "epoch":
+        backend.run_epoch(command["time"])
+    else:
+        backend.run_inclusive(command["time"])
 
 
 class SupervisedMpBackend:
-    """The mp backend under supervision: heartbeats, checksummed
-    frames, respawn-and-replay recovery, and inline degradation.
+    """The mp backend: framed exchanges with one worker per shard,
+    heartbeats, and -- as its :class:`SupervisorPolicy` allows --
+    respawn-and-replay recovery and inline degradation.
 
-    Drop-in replacement for :class:`~repro.shard.backends.MpBackend`
-    behind :class:`~repro.shard.engine.ShardedEngine` -- same
-    ``run_epoch`` / ``collect`` / ``barrier`` / ``snapshots`` surface,
-    same bit-exact merged history (host faults included).
+    Same ``run_epoch`` / ``collect`` / ``barrier`` / ``snapshots``
+    surface as the in-process backends behind
+    :class:`~repro.shard.engine.ShardedEngine`, same bit-exact merged
+    history (host faults included).
     """
 
-    name = "mp-supervised"
+    name = "mp"
 
-    #: Host seconds granted to each shutdown stage; see MpBackend.
+    #: Host seconds granted to each shutdown stage (stop ack, join,
+    #: terminate, kill); a class attribute so tests can change it.
     close_timeout_s = 5.0
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
@@ -250,10 +354,9 @@ class SupervisedMpBackend:
         self._plan_dict = plan.to_dict()
         self._collected: List[Dict[str, Any]] = []
         self._obs_frames: List[Dict[str, Any]] = []
-        #: Committed (fully acknowledged) commands, in issue order --
-        #: the recovery log.  Barrier entries keep the *full* payload
-        #: list so both per-shard replay and inline degradation can
-        #: regroup it.
+        #: Committed commands, in issue order -- the recovery log.
+        #: Barrier entries keep the *full* payload list so both
+        #: per-shard replay and inline degradation can regroup it.
         self._log: List[Dict[str, Any]] = []
         #: Index of the epoch slice currently executing (incremented by
         #: every epoch/inclusive command; host faults are scheduled in
@@ -269,9 +372,8 @@ class SupervisedMpBackend:
         self.degraded = False
         self.degrade_reason: Optional[str] = None
 
-        self._mode = "mp"
-        self._cores: Optional[List[ShardCore]] = None
-        self._router: Optional[ShardRouter] = None
+        #: The in-process backend the run continues on after a degrade.
+        self._inline: Optional[InlineBackend] = None
         self._handles: List[_WorkerHandle] = [
             self._spawn_worker(shard) for shard in range(topology.shards)]
 
@@ -280,25 +382,32 @@ class SupervisedMpBackend:
     def _spawn_worker(self, shard: int) -> _WorkerHandle:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_supervised_worker_main,
+            target=_serve_shard,
             args=(child_conn, self._plan_dict, self.topology.cores_of(shard),
                   self._sanitize, self.obs),
             daemon=True,
-            name=f"repro-shard-sup-{shard}",
+            name=f"repro-shard-{shard}",
         )
         process.start()
         child_conn.close()
         return _WorkerHandle(shard, process, parent_conn)
 
-    def _kill_worker(self, handle: _WorkerHandle) -> None:
+    def _discard_worker(self, handle: _WorkerHandle) -> None:
+        """Kill a worker the run gives up on, then reap it.
+
+        Closing our pipe end is no stop signal: under ``fork`` the
+        worker and its later-forked siblings hold copies of that end,
+        so the worker never sees EOF.  SIGKILL comes before the join.
+        """
         try:
             handle.conn.close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        _reap_process(handle.process, self.close_timeout_s)
+        handle.process.kill()
+        handle.process.join(timeout=self.close_timeout_s)
 
     def _respawn_worker(self, shard: int, attempt: int) -> None:
-        self._kill_worker(self._handles[shard])
+        self._discard_worker(self._handles[shard])
         backoff = self.policy.backoff_for(attempt)
         if backoff > 0:
             time.sleep(backoff)  # repro: noqa[RPR006] -- supervision backoff is host-level by design: it paces real process respawns and never touches virtual time, so the simulated history is unperturbed
@@ -340,12 +449,35 @@ class SupervisedMpBackend:
 
     # -- framed exchanges with recovery ---------------------------------------
 
+    def _message(self, handle: _WorkerHandle, command: Dict[str, Any],
+                 upto: Optional[int] = None) -> Dict[str, Any]:
+        """``command`` carrying the barrier batches in
+        ``log[handle.applied:upto]`` that the worker has not applied
+        yet, each narrowed to the payloads addressed to its shard."""
+        barriers = []
+        for entry in self._log[handle.applied:upto]:
+            mine = [payload for payload in entry["payloads"]
+                    if self.topology.shard_of(payload["target"])
+                    == handle.shard]
+            barriers.append([entry["time"], mine])
+        return {**command, "barriers": barriers}
+
     def _send(self, shard: int, message: Dict[str, Any]) -> bool:
         try:
             self._handles[shard].conn.send_bytes(encode_frame(message))
             return True
         except (OSError, BrokenPipeError, ValueError):
             return False
+
+    def _post(self, shard: int, command: Dict[str, Any], arm: bool) -> bool:
+        """Send ``command`` to the shard's worker with its pending
+        barriers and, for slices, any host faults armed for it."""
+        message = self._message(self._handles[shard], command)
+        faults = self.schedule.arm(shard, self._epoch_index) if arm else []
+        if faults:
+            self._event("fault.armed", shard=shard, fault=faults[0]["kind"])
+            message["faults"] = faults
+        return self._send(shard, message)
 
     def _await(self, shard: int) -> Tuple[str, Any]:
         """Wait for one framed reply under the heartbeat deadline.
@@ -384,105 +516,67 @@ class SupervisedMpBackend:
             return True
         raise ShardError(reason)
 
-    def _replay_into_worker(self, shard: int) -> Tuple[bool, str]:
-        """Re-execute the committed log in a fresh worker.
+    def _replay_into_worker(self, shard: int) -> Tuple[str, Any]:
+        """Re-execute the committed slices in a fresh worker, each
+        carrying the barrier batches logged before it.
 
         Replies (including re-emitted barrier payloads) are discarded:
-        they were already committed.  Faults are never armed during
-        replay -- double faults are encoded as a second plan entry
-        firing on the *retried* command instead."""
-        for command in self._log:
-            message = self._message_for_shard(shard, command)
-            if not self._send(shard, message):
-                return False, "crash: pipe closed during replay"
+        they were already committed.  Batches logged after the last
+        slice stay pending and ride on the retried command.  Faults
+        are never armed during replay -- double faults are encoded as
+        a second plan entry firing on the *retried* command instead."""
+        handle = self._handles[shard]
+        for index, command in enumerate(self._log):
+            if command["cmd"] == "barrier":
+                continue
+            if not self._send(shard, self._message(handle, command, index)):
+                return "replay", "crash: pipe closed during replay"
             status, detail = self._await(shard)
             if status != "ok":
-                return False, f"{status} during replay: {detail}"
-        return True, ""
+                return "replay", f"{status} during replay: {detail}"
+            handle.applied = index + 1
+        return "ok", None
 
-    def _message_for_shard(self, shard: int,
-                           command: Dict[str, Any]) -> Dict[str, Any]:
-        if command["cmd"] == "barrier":
-            mine = [payload for payload in command["payloads"]
-                    if self.topology.shard_of(payload["target"]) == shard]
-            return {"cmd": "barrier", "time": command["time"],
-                    "payloads": mine, "faults": []}
-        return {**command, "faults": []}
-
-    def _finish_exchange(self, shard: int, base_message: Dict[str, Any],
-                         arm: bool, in_flight: bool,
-                         ) -> Optional[Dict[str, Any]]:
+    def _finish_exchange(self, shard: int, command: Dict[str, Any],
+                         arm: bool, sent: bool) -> Optional[Dict[str, Any]]:
         """Drive one shard's exchange to a committed reply, recovering
-        as needed; None means the run degraded (reply is moot)."""
+        as the policy allows; None means the run degraded (the reply is
+        moot)."""
         failures = 0
-        need_recovery = False
-        while True:
-            if need_recovery:
-                self._respawn_worker(shard, failures)
-                ok, detail = self._replay_into_worker(shard)
-                if not ok:
-                    failures += 1
-                    self.retries[shard] += 1
-                    self._event("fault.detected", shard=shard,
-                                failure="replay", detail=detail,
-                                attempt=failures)
-                    if self._budget_exhausted(shard, failures, "replay",
-                                              detail):
-                        return None
-                    continue
-                need_recovery = False
-                self._event("epoch.retry", shard=shard,
-                            cmd=base_message.get("cmd"), attempt=failures)
-            if in_flight:
-                in_flight = False
-                status, value = self._await(shard)
-            else:
-                faults = (self.schedule.arm(shard, self._epoch_index)
-                          if arm else [])
-                if faults:
-                    self._event("fault.armed", shard=shard,
-                                fault=faults[0]["kind"])
-                message = {**base_message, "faults": faults}
-                if self._send(shard, message):
-                    status, value = self._await(shard)
-                else:
-                    status, value = "crash", "pipe closed on send"
-            if status == "ok":
-                return value
+        status, value = (self._await(shard) if sent
+                         else ("crash", "pipe closed on send"))
+        while status != "ok":
             failures += 1
             self.retries[shard] += 1
             self._event("fault.detected", shard=shard, failure=status,
                         detail=str(value), attempt=failures,
-                        cmd=base_message.get("cmd"))
+                        cmd=command["cmd"])
             if self._budget_exhausted(shard, failures, status, value):
                 return None
-            need_recovery = True
+            self._respawn_worker(shard, failures)
+            status, value = self._replay_into_worker(shard)
+            if status != "ok":
+                continue
+            self._event("epoch.retry", shard=shard, cmd=command["cmd"],
+                        attempt=failures)
+            status, value = (self._await(shard)
+                             if self._post(shard, command, arm)
+                             else ("crash", "pipe closed on send"))
+        self._handles[shard].applied = len(self._log)
+        return value
 
-    def _broadcast(self, message: Optional[Dict[str, Any]],
-                   per_shard: Optional[List[Dict[str, Any]]] = None,
+    def _broadcast(self, command: Dict[str, Any],
                    arm: bool = False) -> Optional[List[Dict[str, Any]]]:
         """Supervised fan-out: optimistic concurrent first attempt,
         then per-shard recovery.  None means the run degraded and the
-        caller must re-run the current command on the inline path."""
-        messages: List[Dict[str, Any]] = []
-        in_flight: List[bool] = []
-        for shard in range(self.topology.shards):
-            base = dict(message if per_shard is None else per_shard[shard])
-            faults = self.schedule.arm(shard, self._epoch_index) if arm else []
-            if faults:
-                self._event("fault.armed", shard=shard,
-                            fault=faults[0]["kind"])
-            base["faults"] = faults
-            messages.append(base)
-            # Send to every worker before gathering any reply, so the
-            # shards genuinely run concurrently.
-            in_flight.append(self._send(shard, base))
+        caller must finish on the inline backend."""
+        # Send to every worker before gathering any reply, so the
+        # shards genuinely run concurrently.
+        sent = [self._post(shard, command, arm)
+                for shard in range(self.topology.shards)]
         replies: List[Dict[str, Any]] = []
-        for shard, base in enumerate(messages):
-            reply = self._finish_exchange(
-                shard, {key: value for key, value in base.items()
-                        if key != "faults"},
-                arm=arm, in_flight=in_flight[shard])
+        for shard in range(self.topology.shards):
+            reply = self._finish_exchange(shard, command, arm, sent[shard])
             if reply is None:
                 return None
             replies.append(reply)
@@ -491,184 +585,138 @@ class SupervisedMpBackend:
     # -- degradation ----------------------------------------------------------
 
     def _degrade(self, reason: str) -> None:
-        """Migrate the entire run to the inline backend mid-run.
+        """Migrate the entire run to an inline backend mid-run.
 
-        Stops every worker, rebuilds all cores in-process, and replays
-        the committed command log against them.  Legal because engine
-        snapshots exclude backend/shard identity; bit-exact because
-        the log *is* the universe's input history."""
+        Kills every worker, then replays the committed command log into
+        a fresh :class:`InlineBackend`.  Legal because engine snapshots
+        exclude backend/shard identity; bit-exact because the log *is*
+        the universe's input history."""
         self._event("backend.degrade", detail=reason)
         self.degraded = True
         self.degrade_reason = reason
         for handle in self._handles:
-            self._kill_worker(handle)
+            self._discard_worker(handle)
         self._handles = []
-        self._router = ShardRouter()
-        self._router.install()
-        self._cores = [ShardCore(core_id, self.plan, self._router,
-                                 obs=self.obs)
-                       for core_id in range(self.plan.cores)]
-        self._mode = "inline"
+        self._inline = InlineBackend(self.plan, self.topology, obs=self.obs)
         for command in self._log:
-            self._apply_inline(command)
-
-    def _apply_inline(self, command: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """Execute one logged command on the in-process cores."""
-        assert self._router is not None and self._cores is not None
-        self._router.install()
-        cmd = command["cmd"]
-        if cmd == "epoch":
-            for core in self._cores:
-                core.run_epoch(command["horizon"])
-            return self._router.drain()
-        if cmd == "inclusive":
-            for core in self._cores:
-                core.run_inclusive(command["until"])
-            return self._router.drain()
-        if cmd == "barrier":
-            grouped: Dict[int, List[Dict[str, Any]]] = {}
-            for payload in command["payloads"]:
-                grouped.setdefault(payload["target"], []).append(payload)
-            for core in self._cores:
-                core.apply_barrier(command["time"],
-                                   grouped.get(core.core_id, []))
-            return []
-        raise ShardError(f"unknown inline command {cmd!r}")
+            _apply_logged(self._inline, command)
+        self._inline.collect()  # replayed payloads were committed already
 
     # -- backend interface ----------------------------------------------------
 
-    def _inline_obs_frames(self, time: float) -> List[Dict[str, Any]]:
-        """Frames from the in-process cores after a degrade (JSON
-        round-tripped to match what the pipe path ships)."""
-        assert self._cores is not None
-        return json.loads(json.dumps(
-            [core.obs_frame(time) for core in self._cores]))
-
     def _run_slice(self, command: Dict[str, Any]) -> None:
         """Common path for epoch/inclusive commands."""
+        self._time = command["time"]
         self._epoch_index += 1
-        slice_time = command.get("horizon", command.get("until"))
-        if self._mode == "inline":
-            self._collected.extend(self._apply_inline(command))
-            if self.obs:
-                self._obs_frames = self._inline_obs_frames(slice_time)
-            return
-        replies = self._broadcast(command, arm=True)
-        if replies is None:  # degraded mid-command; partial replies moot
-            self._collected.extend(self._apply_inline(command))
-            if self.obs:
-                self._obs_frames = self._inline_obs_frames(slice_time)
-            return
-        self._obs_frames = []
-        for reply in replies:
-            self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
-        self._log.append(dict(command))
+        if self._inline is None:
+            replies = self._broadcast(command, arm=True)
+            if replies is not None:
+                self._obs_frames = []
+                for reply in replies:
+                    self._collected.extend(reply["payloads"])
+                    self._obs_frames.extend(reply.get("obs", []))
+                self._log.append(command)
+                for handle in self._handles:
+                    handle.applied = len(self._log)
+                return
+        # Degraded, now or earlier: partial replies are moot.
+        _apply_logged(self._inline, command)
 
     def run_epoch(self, horizon: float) -> None:
-        self._time = horizon
-        self._run_slice({"cmd": "epoch", "horizon": horizon})
+        self._run_slice({"cmd": "epoch", "time": horizon})
 
     def run_inclusive(self, until: float) -> None:
-        self._time = until
-        self._run_slice({"cmd": "inclusive", "until": until})
+        self._run_slice({"cmd": "inclusive", "time": until})
 
     def collect(self) -> List[Dict[str, Any]]:
         out, self._collected = self._collected, []
+        if self._inline is not None:
+            out.extend(self._inline.collect())
         return out
 
     def collect_obs(self, time: float) -> List[Dict[str, Any]]:
         """Frames from the last committed slice (cumulative, so a
         recovered-and-replayed worker reproduced them bit-exactly)."""
+        if self._inline is not None:
+            return self._inline.collect_obs(time)
         out, self._obs_frames = self._obs_frames, []
         return sorted(out, key=lambda frame: frame["core"])
 
-    def obs_dumps(self) -> List[Dict[str, Any]]:
-        if not self.obs:
-            return []
-        return [entry["obs"] for entry in self._collect_cores()]
-
-    def barrier(self, time_: float, payloads: List[Dict[str, Any]]) -> None:
-        self._time = time_
-        command = {"cmd": "barrier", "time": time_,
-                   "payloads": [dict(payload) for payload in payloads]}
-        if self._mode == "inline":
-            self._apply_inline(command)
-            return
-        per_shard: List[Dict[str, Any]] = [
-            {"cmd": "barrier", "time": time_, "payloads": []}
-            for _ in range(self.topology.shards)]
-        for payload in payloads:
-            shard = self.topology.shard_of(payload["target"])
-            per_shard[shard]["payloads"].append(payload)
-        replies = self._broadcast(None, per_shard=per_shard)
-        if replies is None:
-            self._apply_inline(command)
-            return
-        self._log.append(command)
+    def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
+        """Log the canonical payloads; each shard's share rides on the
+        next command its worker receives."""
+        self._time = time
+        command = {"cmd": "barrier", "time": time, "payloads": list(payloads)}
+        if self._inline is not None:
+            _apply_logged(self._inline, command)
+        else:
+            self._log.append(command)
 
     # -- observation ----------------------------------------------------------
 
-    def _collect_cores(self) -> List[Dict[str, Any]]:
-        if self._mode == "inline":
-            assert self._cores is not None
-            entries = []
-            for core in self._cores:
-                entry = {"core": core.core_id,
-                         "snapshot": core.snapshot_state(),
-                         "stream": core.stream_entries()}
-                if self.obs:
-                    entry["obs"] = json.loads(json.dumps(core.obs_dump()))
-                entries.append(entry)
-            return entries
-        replies = self._broadcast({"cmd": "collect"})
-        if replies is None:  # degraded during collection
-            return self._collect_cores()
-        cores = [entry for reply in replies for entry in reply["cores"]]
-        cores.sort(key=lambda entry: entry["core"])
-        return cores
+    def _read_cores(self, what: str) -> List[Any]:
+        """One per-core read (``snapshots``/``streams``/``obs_dumps``)
+        in core order; from the inline backend once the run degraded."""
+        if self._inline is None:
+            replies = self._broadcast({"cmd": "collect", "what": what})
+            if replies is not None:
+                pairs = [pair for reply in replies for pair in reply["cores"]]
+                pairs.sort(key=lambda pair: pair[0])
+                return [value for _, value in pairs]
+        return getattr(self._inline, what)()
+
+    def obs_dumps(self) -> List[Dict[str, Any]]:
+        return self._read_cores("obs_dumps") if self.obs else []
 
     def snapshots(self) -> List[dict]:
-        return [entry["snapshot"] for entry in self._collect_cores()]
+        return self._read_cores("snapshots")
 
     def streams(self) -> List[List[Dict[str, Any]]]:
-        return [entry["stream"] for entry in self._collect_cores()]
+        return self._read_cores("streams")
 
     def local_kernels(self) -> List[Any]:
-        """Empty like the bare mp backend, and kept empty after a
-        degrade so recorder fan-out does not depend on backend fate."""
+        """No kernels live in the parent process, and none after a
+        degrade either, so recorder fan-out does not depend on backend
+        fate."""
         return []
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        if self._mode == "inline":
-            if self._router is not None:
-                self._router.uninstall()
-            self._cores = None
-            self._router = None
-            return
-        timeout = self.close_timeout_s
-        unkillable: List[int] = []
-        for shard, handle in enumerate(self._handles):
+        """Stop every worker: a ``stop`` frame to each, then SIGKILL for
+        any worker that does not answer within ``close_timeout_s``.
+
+        Pipes that died early (EOF/broken) are tolerated.  A worker
+        that survives SIGKILL is reported by shard id instead of
+        hanging the interpreter at exit."""
+        if self._inline is not None:
+            self._inline.close()
+        handles, self._handles = self._handles, []
+        for handle in handles:
             try:
-                send_frame(handle.conn, {"cmd": "stop", "faults": []})
-                if handle.conn.poll(timeout):
-                    handle.conn.recv_bytes()
-            except (OSError, EOFError, BrokenPipeError):
+                send_frame(handle.conn, {"cmd": "stop"})
+            except (OSError, ValueError):
                 pass
+        unkillable: List[int] = []
+        for handle in handles:
+            answered = False
+            try:
+                answered = handle.conn.poll(self.close_timeout_s)
+                if answered:
+                    handle.conn.recv_bytes()
+            except (OSError, EOFError):
+                pass  # already dead: the join below reaps it at once
             finally:
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover - already torn down
-                    pass
-            if not _reap_process(handle.process, timeout):  # pragma: no cover
-                unkillable.append(shard)
-        self._handles = []
+                handle.conn.close()
+            if not answered:
+                handle.process.kill()
+            if not _reap_process(handle.process,
+                                 self.close_timeout_s):  # pragma: no cover
+                unkillable.append(handle.shard)
         if unkillable:  # pragma: no cover - kernel-level wedge
             raise ShardError(
-                f"supervised shard worker(s) {unkillable} survived SIGKILL "
-                f"during close; processes leaked")
+                f"shard worker(s) {unkillable} survived SIGKILL during "
+                f"close; processes leaked")
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         if getattr(self, "_handles", None):

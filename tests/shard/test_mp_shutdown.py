@@ -18,15 +18,17 @@ def _mp_engine(supervise=False, **kwargs):
                          backend="mp", supervise=supervise, **kwargs)
 
 
-def test_close_does_not_hang_on_a_wedged_worker():
+@pytest.mark.parametrize("supervise", [False, True],
+                         ids=["fail-stop", "supervised"])
+def test_close_does_not_hang_on_a_wedged_worker(supervise):
     """A SIGSTOPped worker never acks the stop command; close() must
-    escalate terminate -> kill within its timeout instead of blocking
-    forever at conn.recv()."""
-    engine = _mp_engine()
+    kill it within its timeout instead of blocking forever on the
+    pipe."""
+    engine = _mp_engine(supervise=supervise)
     engine.advance(200.0)
     backend = engine._backend
     backend.close_timeout_s = 1.0
-    victim = backend._workers[0]
+    victim = backend._handles[0].process
     os.kill(victim.pid, signal.SIGSTOP)
     engine.close()  # must return promptly, not hang
     assert not victim.is_alive()
@@ -39,22 +41,11 @@ def test_close_tolerates_an_already_dead_worker():
     engine.advance(200.0)
     backend = engine._backend
     backend.close_timeout_s = 2.0
-    workers = list(backend._workers)
+    workers = [handle.process for handle in backend._handles]
     os.kill(workers[1].pid, signal.SIGKILL)
     workers[1].join(timeout=5.0)
     engine.close()
     assert all(not worker.is_alive() for worker in workers)
-
-
-def test_supervised_close_does_not_hang_on_a_wedged_worker():
-    engine = _mp_engine(supervise=True)
-    engine.advance(200.0)
-    backend = engine._backend
-    backend.close_timeout_s = 1.0
-    victim = backend._handles[0].process
-    os.kill(victim.pid, signal.SIGSTOP)
-    engine.close()
-    assert not victim.is_alive()
 
 
 def test_worker_failure_ships_type_and_traceback():

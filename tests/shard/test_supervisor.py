@@ -10,6 +10,10 @@ history -- that is the whole contract.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.checkpoint.statetree import tree_checksum
@@ -21,7 +25,7 @@ from repro.shard.hostfaults import (
     kill_every_epoch,
 )
 from repro.shard.plan import mix_plan
-from repro.shard.supervisor import SupervisorPolicy
+from repro.shard.supervisor import SupervisedMpBackend, SupervisorPolicy
 from repro.telemetry import Telemetry
 
 UNTIL = 1_500.0  # three 500ms epochs: enough for cross-core traffic
@@ -108,6 +112,45 @@ def test_unsupervised_recovery_summary_is_empty():
         summary = engine.recovery_summary()
     assert summary["degraded"] is False
     assert summary["events"] == []
+
+
+def test_unsupervised_mp_is_fail_stop():
+    """Without ``supervise`` the mp backend runs the same protocol
+    under the fail-stop policy: a worker SIGKILLed between two
+    advances fails the next one, with nothing respawned or degraded."""
+    with ShardedEngine(_plan(), shards=2, backend="mp") as engine:
+        engine.advance(500.0)
+        victim = engine._backend._handles[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        with pytest.raises(ShardError, match="retry budget"):
+            engine.advance(UNTIL)
+        summary = engine.recovery_summary()
+    assert summary["restarts"] == [0, 0]
+    assert summary["degraded"] is False
+
+
+def test_one_framed_exchange_per_shard_per_epoch():
+    """Barrier payloads ride on the next command: ``advance`` costs
+    each shard one round trip per epoch plus one for the stop point,
+    and no separate barrier command is ever sent."""
+    with ShardedEngine(_plan(), shards=2, backend="mp") as engine:
+        backend = engine._backend
+        sent = []
+        send = backend._send
+
+        def counting_send(shard, message):
+            sent.append((shard, message["cmd"], len(message["barriers"])))
+            return send(shard, message)
+
+        backend._send = counting_send
+        engine.advance(UNTIL)
+    epochs = int(UNTIL // engine.epoch_ms)
+    for shard in range(2):
+        mine = [(cmd, barriers) for who, cmd, barriers in sent
+                if who == shard]
+        assert mine == ([("epoch", 0)] + [("epoch", 1)] * (epochs - 1)
+                        + [("inclusive", 1)])
 
 
 # -- no-fault equivalence and the acceptance plan ------------------------------
@@ -225,6 +268,21 @@ def test_budget_exhaustion_degrades_to_inline_bit_exact():
     assert "retry budget" in recovery["degrade_reason"]
     kinds = [event["kind"] for event in recovery["events"]]
     assert "backend.degrade" in kinds
+
+
+def test_degrade_kills_discarded_workers_before_joining(monkeypatch):
+    """Healthy workers discarded by a degrade never see EOF on their
+    pipe (forked siblings hold copies of it), so waiting for them to
+    exit would burn ``close_timeout_s`` per shard; they are killed
+    first instead."""
+    monkeypatch.setattr(SupervisedMpBackend, "close_timeout_s", 30.0)
+    policy = SupervisorPolicy(max_retries=0, deadline_s=15.0,
+                              backoff_base_s=0.01)
+    start = time.monotonic()
+    stream, state, recovery = _supervised(
+        host_faults=kill_every_epoch(4), policy=policy)
+    assert recovery["degraded"] is True
+    assert time.monotonic() - start < 30.0
 
 
 def test_budget_exhaustion_without_degradation_raises():
